@@ -10,6 +10,9 @@
 //!   any shard layout and thread count.
 //! * [`classification`] — triplet classification with per-relation
 //!   thresholds σ_r tuned on validation (Sec. V-C / Tab. VI).
+//! * [`crew`] — the lockstep worker crew behind both cooperative engines
+//!   (parallel ranking here, crew training in `kg-train`): one barrier, one
+//!   panic-poison protocol, one spawn/join/re-raise path.
 //! * [`curves`] — learning-curve capture for Fig. 4 / Fig. 6-9.
 //! * [`engine`] — the shared shard/block scoring engine: block size, shard
 //!   planning and the per-shard `BatchScorer` dispatch, reused by both the
@@ -21,6 +24,7 @@
 //!   reference bit for bit.
 
 pub mod classification;
+pub mod crew;
 pub mod curves;
 pub mod engine;
 pub mod ranking;
@@ -29,8 +33,8 @@ pub mod two_stage;
 pub use classification::{accuracy, make_negatives, tune_thresholds, Thresholds};
 pub use curves::{Curve, CurvePoint};
 pub use ranking::{
-    evaluate, evaluate_parallel, evaluate_parallel_chunked, evaluate_parallel_sharded,
-    evaluate_sequential, filtered_rank, shard_bounds, top_k, top_k_into, RankMetrics,
+    evaluate, evaluate_parallel, evaluate_parallel_sharded, evaluate_sequential, filtered_rank,
+    shard_bounds, top_k, top_k_into, RankMetrics,
 };
 pub use two_stage::{
     evaluate_two_stage, fold_outcomes, quantise_scorer, two_stage_outcomes, two_stage_top_k_heads,

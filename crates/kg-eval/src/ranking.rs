@@ -18,29 +18,31 @@
 //! `tests/batch_equivalence.rs` pins this down for every shipped model.
 //!
 //! **Parallelism shards the entity table, not the triple list.** All of
-//! [`evaluate_parallel`]'s workers cooperate on one block of queries: each
-//! worker scores its contiguous entity shard (a disjoint column range of
-//! the conceptual score block) through
+//! [`evaluate_parallel`]'s participants cooperate on one block of queries:
+//! each scores its contiguous entity shard (a disjoint column range of the
+//! conceptual score block) through
 //! [`kg_models::BatchScorer::score_tails_shard`], publishes the target
 //! scores that fall in its shard, and counts its shard's
 //! `(greater, equal)` contributions with the branchless
 //! [`kg_linalg::vecops::count_cmp`] sweep — immediately after scoring,
 //! while the shard block is still hot in its private cache — into its own
-//! slots of the double-buffered [`engine::PipelineSlots`]. The steps
-//! (block × direction) flow through a **two-lane pipeline**: one barrier
-//! per step, after which the lead worker sums the *previous* step's
-//! per-worker slots into ranks and folds metrics while the rest of the
-//! crew is already scoring the next step. Integer counts over disjoint
-//! shards are order-independent, so the merged ranks — and therefore the
-//! metrics — are **bit-identical to [`evaluate_sequential`]** for *any*
-//! shard layout, thread count and pipeline interleaving
+//! slots of the double-buffered [`engine::PipelineSlots`]. The participants
+//! form a [`crate::crew::Crew`] (the calling thread is its lead) and the
+//! steps (block × direction) flow through a **two-lane pipeline**: one
+//! crew rendezvous per step, after which the lead sums the *previous*
+//! step's per-participant slots into ranks and folds metrics while the
+//! rest of the crew is already scoring the next step. Integer counts over
+//! disjoint shards are order-independent, so the merged ranks — and
+//! therefore the metrics — are **bit-identical to [`evaluate_sequential`]**
+//! for *any* shard layout, thread count and pipeline interleaving
 //! (`tests/shard_equivalence.rs` pins this down). Models whose shard
 //! scoring would stage full-table rows anyway (no
 //! [`kg_models::BatchScorer::native_shard_scoring`]) get the block's
 //! *query rows* split across the same engine instead — full parallelism
-//! without redundant scoring, same bit-identity. The previous
-//! triples-per-thread strategy survives as [`evaluate_parallel_chunked`],
-//! the microbenchmark's comparison baseline.
+//! without redundant scoring, same bit-identity. A model panic anywhere in
+//! the crew takes every participant out at the same rendezvous and is
+//! re-raised on the caller with its original payload: the crew's one
+//! panic-poison protocol ([`crate::crew`]).
 //!
 //! **Kernel policy.** Every evaluator has a `*_with` form taking an
 //! explicit [`kg_models::KernelPolicy`] that workers carry into their
@@ -53,14 +55,12 @@
 //! existing callers keep exact semantics unless `KG_KERNEL_POLICY=fast`
 //! is set process-wide.
 
+use crate::crew::{Crew, Seat};
 use crate::engine::{self, Direction, WorkerShard};
 use kg_core::{EntityId, FilterIndex, Triple};
 use kg_linalg::vecops;
 use kg_models::{BatchScorer, BatchScratch, KernelPolicy, LinkPredictor};
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::Barrier;
 
 pub use crate::engine::shard_bounds;
 
@@ -495,28 +495,30 @@ pub fn evaluate_parallel_with<M: BatchScorer + Sync>(
         // would only hit barriers.
         n_threads.min(EVAL_BLOCK).min(triples.len())
     };
-    run_cooperative(policy, model, triples, filter, engine::plan_shards(model, n_workers))
+    rank_on_crew(policy, model, triples, filter, engine::plan_shards(model, n_workers))
 }
 
-/// Evaluate with one worker thread per entity shard, shards given by the
-/// explicit cut points `bounds` (`bounds[w]..bounds[w+1]` is worker `w`'s
-/// shard): non-decreasing, starting at 0, ending at `n_entities`.
-/// Zero-width shards are legal — their workers score nothing and contribute
-/// identity counts.
+/// Evaluate with one crew participant per entity shard, shards given by
+/// the explicit cut points `bounds` (`bounds[w]..bounds[w+1]` is
+/// participant `w`'s shard): non-decreasing, starting at 0, ending at
+/// `n_entities`. Zero-width shards are legal — their participants score
+/// nothing and contribute identity counts.
 ///
-/// The work flows through the **double-buffered block pipeline**: one step
-/// per (block, direction) pair, one barrier per step. In a step each
-/// worker scores its shard for the whole query block
-/// ([`kg_models::BatchScorer::score_tails_shard`] / `score_heads_shard`)
-/// into its private shard-local block, publishes the target scores its
-/// shard owns (as `f32` bits) into the step's [`engine::PipelineSlots`]
-/// lane, crosses the step barrier, and immediately counts its still
-/// cache-hot shard's filtered `(greater, equal)` contributions
-/// (`shard_filtered_counts`) into its own per-worker slots of the same
-/// lane — plain stores, one merge per block, no per-row `fetch_add`. The
-/// lead worker then sums the *previous* step's lane into ranks and folds
-/// metrics while the rest of the crew has already moved on to scoring the
-/// next step: rank conversion never stalls the crew.
+/// The shards run as one [`Crew`] through the **double-buffered block
+/// pipeline**: one step per (block, direction) pair, one crew rendezvous
+/// per step. In a step each participant scores its shard for the whole
+/// query block ([`kg_models::BatchScorer::score_tails_shard`] /
+/// `score_heads_shard`) into its private shard-local block, publishes the
+/// target scores its shard owns (as `f32` bits) into the step's
+/// [`engine::PipelineSlots`] lane, attends the step's rendezvous, and
+/// immediately counts its still cache-hot shard's filtered
+/// `(greater, equal)` contributions (`shard_filtered_counts`) into its own
+/// slots of the same lane — plain stores, one merge per block, no per-row
+/// `fetch_add`. The lead then sums the *previous* step's lane into ranks
+/// and folds metrics while the rest of the crew has already moved on to
+/// scoring the next step: rank conversion never stalls the crew. The
+/// crew's closing rendezvous lands the last step's counts, which are
+/// folded once the crew has been joined.
 ///
 /// **Bit-identity.** A shard's score elements are bit-identical to the
 /// corresponding columns of the full-table path (the [`BatchScorer`] shard
@@ -530,7 +532,8 @@ pub fn evaluate_parallel_with<M: BatchScorer + Sync>(
 /// # Panics
 /// Panics if `bounds` is not a partition of `0..n_entities` as described,
 /// or if any triple references an entity `≥ n_entities` (the sequential
-/// path would fault on the same input).
+/// path would fault on the same input). A panic inside the model's scoring
+/// is re-raised with its original payload ([`Crew::run`]).
 pub fn evaluate_parallel_sharded<M: BatchScorer + Sync>(
     model: &M,
     triples: &[Triple],
@@ -541,8 +544,8 @@ pub fn evaluate_parallel_sharded<M: BatchScorer + Sync>(
 }
 
 /// [`evaluate_parallel_sharded`] under an explicit [`KernelPolicy`] —
-/// every worker scores its shard under the same policy. Bit-identity to
-/// [`evaluate_sequential`] is the `Exact` tier's guarantee.
+/// every participant scores its shard under the same policy. Bit-identity
+/// to [`evaluate_sequential`] is the `Exact` tier's guarantee.
 pub fn evaluate_parallel_sharded_with<M: BatchScorer + Sync>(
     policy: KernelPolicy,
     model: &M,
@@ -559,15 +562,14 @@ pub fn evaluate_parallel_sharded_with<M: BatchScorer + Sync>(
         return RankMetrics::zero();
     }
     let shards = bounds.windows(2).map(|w| WorkerShard::Entities(w[0]..w[1])).collect();
-    run_cooperative(policy, model, triples, filter, shards)
+    rank_on_crew(policy, model, triples, filter, shards)
 }
 
-/// Spawn one worker per entry of `shards` and run the pipelined
-/// cooperative engine over `triples` (see [`evaluate_parallel_sharded`] for
-/// the step structure). The caller guarantees `shards` covers the work:
-/// entity shards partition `0..n_entities`, query shards enumerate
-/// `0..n_workers`.
-fn run_cooperative<M: BatchScorer + Sync>(
+/// Rank non-empty `triples` on a [`Crew`] with one participant per entry
+/// of `shards` (see [`evaluate_parallel_sharded`] for the step structure).
+/// The caller guarantees `shards` covers the work: entity shards partition
+/// `0..n_entities`, query shards enumerate `0..n_workers`.
+fn rank_on_crew<M: BatchScorer + Sync>(
     policy: KernelPolicy,
     model: &M,
     triples: &[Triple],
@@ -579,308 +581,177 @@ fn run_cooperative<M: BatchScorer + Sync>(
         triples.iter().all(|t| t.h.idx() < n && t.t.idx() < n),
         "triple references an entity outside the model's table"
     );
-    let n_workers = shards.len();
-    let barrier = Barrier::new(n_workers);
     // The double-buffered exchange state: two parity lanes of published
-    // target thresholds and per-worker count slots. Atomics + barriers
-    // keep the engine in safe code; the barrier is the only
-    // synchronisation the `Relaxed` cells need (see `PipelineSlots`).
-    let slots = engine::PipelineSlots::new(n_workers);
-    // `Barrier` has no poisoning: a worker that panicked mid-phase would
-    // leave the others waiting at the next rendezvous forever. Each worker
-    // catches its phase panics and records the earliest *step index* at
-    // whose barrier check the whole crew must abort (`fetch_min`); the
-    // original panic is re-thrown on join. A plain "poisoned" bool is not
-    // enough: a fast worker that panics scoring step s+1 would set it
-    // while slow workers are still waking from step s's barrier, making
-    // them break one rendezvous earlier than the rest of the crew — a
-    // deadlock. Tagging the abort with a step pins every worker to the
-    // same barrier.
-    let poisoned = AtomicUsize::new(usize::MAX);
-    let metrics = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n_workers);
-        for (w, shard) in shards.into_iter().enumerate() {
-            let (barrier, poisoned, slots) = (&barrier, &poisoned, &slots);
-            handles.push(scope.spawn(move || {
-                shard_worker(policy, model, triples, filter, shard, w, barrier, poisoned, slots)
-            }));
-        }
-        // Only the lead worker accumulates; the fold just picks it up. A
-        // worker panic is re-thrown with its original payload so callers
-        // see the model's actual error, not an opaque wrapper.
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-            .fold(RankMetrics::zero(), RankMetrics::merge)
-    });
-    metrics.normalised()
+    // target thresholds and per-participant count slots. The crew's
+    // rendezvous are the only synchronisation the `Relaxed` cells need
+    // (see `PipelineSlots`).
+    let slots = engine::PipelineSlots::new(shards.len());
+    let blocks: Vec<&[Triple]> = triples.chunks(EVAL_BLOCK).collect();
+    let work = |seat: &mut Seat<'_>, fold: Option<&mut RankFold>| {
+        shard_worker(policy, model, &blocks, filter, &shards[seat.index()], &slots, seat, fold)
+    };
+    let mut fold = Crew::run(
+        shards.len(),
+        |seat| {
+            let mut fold = RankFold::new();
+            work(seat, Some(&mut fold));
+            fold
+        },
+        |seat| work(seat, None),
+    );
+    // Every participant counted the last step before the closing
+    // rendezvous, and the crew is joined: fold the last lane.
+    let last = 2 * blocks.len() - 1;
+    fold.convert(&slots, last, blocks[last / 2].len());
+    fold.metrics.normalised()
 }
 
-/// The lead worker's conversion of one *completed* pipeline step: sum the
-/// per-worker count slots of the step's lane into ranks, staged per
-/// direction, and — when the step closes a block (heads direction) — fold
-/// that block's tail and head ranks into `metrics` interleaved, in the
-/// sequential per-triple order the reference path uses.
-fn convert_step(
-    slots: &engine::PipelineSlots,
-    step: usize,
-    block_len: usize,
-    tail_ranks: &mut [f64; EVAL_BLOCK],
-    head_ranks: &mut [f64; EVAL_BLOCK],
-    metrics: &mut RankMetrics,
-) {
-    // Step parity doubles as the direction: tails are even steps.
-    let tails = step.is_multiple_of(2);
-    let ranks: &mut [f64] = if tails { &mut tail_ranks[..] } else { &mut head_ranks[..] };
-    for (i, rank) in ranks.iter_mut().take(block_len).enumerate() {
-        let (better, ties) = slots.merged_counts(step % 2, i);
-        *rank = rank_from_counts(better, ties);
+/// The lead's rank staging: a step's ranks are converted one step after
+/// its counts land, but folded into the metrics interleaved, in the
+/// sequential per-triple order.
+struct RankFold {
+    tail_ranks: [f64; EVAL_BLOCK],
+    head_ranks: [f64; EVAL_BLOCK],
+    metrics: RankMetrics,
+}
+
+impl RankFold {
+    fn new() -> Self {
+        RankFold {
+            tail_ranks: [0.0; EVAL_BLOCK],
+            head_ranks: [0.0; EVAL_BLOCK],
+            metrics: RankMetrics::zero(),
+        }
     }
-    if !tails {
-        for i in 0..block_len {
-            metrics.accumulate(tail_ranks[i]);
-            metrics.accumulate(head_ranks[i]);
+
+    /// Convert one *completed* pipeline step: sum the per-participant count
+    /// slots of the step's lane into ranks, staged per direction, and —
+    /// when the step closes a block (heads direction) — fold that block's
+    /// tail and head ranks into the metrics interleaved, in the sequential
+    /// per-triple order the reference path uses.
+    fn convert(&mut self, slots: &engine::PipelineSlots, step: usize, block_len: usize) {
+        // Step parity doubles as the direction: tails are even steps.
+        let tails = step.is_multiple_of(2);
+        let ranks = if tails { &mut self.tail_ranks } else { &mut self.head_ranks };
+        for (i, rank) in ranks.iter_mut().take(block_len).enumerate() {
+            let (better, ties) = slots.merged_counts(step % 2, i);
+            *rank = rank_from_counts(better, ties);
+        }
+        if !tails {
+            for i in 0..block_len {
+                self.metrics.accumulate(self.tail_ranks[i]);
+                self.metrics.accumulate(self.head_ranks[i]);
+            }
         }
     }
 }
 
-/// One worker of the pipelined cooperative engine: scores its
-/// [`WorkerShard`] for every step, counts it into its own
-/// [`engine::PipelineSlots`] slots, and — when `worker == 0` (the lead) —
-/// converts each *previous* step's merged counts into ranks and folds them
-/// into the metrics it returns (non-lead workers return zero metrics).
+/// One crew participant of the pipelined ranking engine: scores its
+/// [`WorkerShard`] for every step and counts it into its own
+/// [`engine::PipelineSlots`] slots; the lead (the one handed a `fold`)
+/// also converts each *previous* step's merged counts into ranks.
 ///
-/// One barrier per step. The worker's step `s` looks like:
+/// One rendezvous per step. The participant's step `s` looks like:
 ///
 /// 1. score the shard's slice of step `s`'s block and publish the target
 ///    thresholds it owns into lane `s % 2`;
-/// 2. cross the step barrier — every shard scored, every target published;
+/// 2. attend the step's rendezvous — every shard scored, every target
+///    published, and the lead's conversion of step `s − 2` (the lane's
+///    previous reader) finished;
 /// 3. count the still cache-hot shard scores into its own slots of lane
 ///    `s % 2`; the lead additionally converts step `s - 1` (lane
-///    `1 - s % 2`) into ranks — overlapping the other workers, which move
-///    straight on to scoring step `s + 1` without waiting.
+///    `1 - s % 2`) into ranks — overlapping the other participants, which
+///    move straight on to scoring step `s + 1` without waiting.
 ///
-/// One final barrier after the last step lets the lead convert the last
-/// lane. Every worker must execute the same barrier sequence, including
-/// workers with a zero-width entity shard or an empty query slice, whose
-/// scoring and counting phases are no-ops. A phase that panics (a model
-/// override, an out-of-range index) is caught and poisons the crew with an
-/// *abort step*: every worker — fast ones already a step ahead included —
-/// leaves the pipeline at that step's barrier check, never one rendezvous
-/// early or late, and the original panic is re-thrown on join, so failures
-/// propagate instead of deadlocking the rendezvous.
+/// Every participant attends the same rendezvous sequence, including those
+/// with a zero-width entity shard or an empty query slice, whose scoring
+/// and counting phases are no-ops. A panicking phase (a model override, an
+/// out-of-range index) needs no handling here: the [`Crew`] poison
+/// protocol takes the whole crew out at the same rendezvous and re-raises
+/// the original payload.
 #[allow(clippy::too_many_arguments)] // one crew-wide wiring site, every argument load-bearing
 fn shard_worker<M: BatchScorer + ?Sized>(
     policy: KernelPolicy,
     model: &M,
-    triples: &[Triple],
+    blocks: &[&[Triple]],
     filter: &FilterIndex,
-    shard: WorkerShard,
-    worker: usize,
-    barrier: &Barrier,
-    poisoned: &AtomicUsize,
+    shard: &WorkerShard,
     slots: &engine::PipelineSlots,
-) -> RankMetrics {
-    let lead = worker == 0;
+    seat: &mut Seat<'_>,
+    mut fold: Option<&mut RankFold>,
+) {
+    let worker = seat.index();
     let mut scratch = BatchScratch::with_policy(policy);
     let mut queries: Vec<(usize, usize)> = Vec::with_capacity(EVAL_BLOCK);
     let mut scores = vec![
         0.0f32;
-        match &shard {
+        match shard {
             WorkerShard::Entities(range) => EVAL_BLOCK * range.len(),
             WorkerShard::Queries { n_workers, .. } =>
                 EVAL_BLOCK.div_ceil(*n_workers) * model.n_entities(),
         }
     ];
-    // Rank staging (lead only): a step's ranks are converted one step after
-    // its counts land, but accumulated interleaved in the sequential order.
-    let mut tail_ranks = [0.0f64; EVAL_BLOCK];
-    let mut head_ranks = [0.0f64; EVAL_BLOCK];
-    let mut metrics = RankMetrics::zero();
-    let mut payload: Option<Box<dyn std::any::Any + Send>> = None;
-    let blocks: Vec<&[Triple]> = triples.chunks(EVAL_BLOCK).collect();
-    let n_steps = blocks.len() * 2;
-    let mut aborted = false;
-    for step in 0..n_steps {
+    let width = shard.width(model.n_entities());
+    for step in 0..2 * blocks.len() {
         let block = blocks[step / 2];
         // Step parity doubles as the direction (and the lane): tails are
         // even steps, so consecutive steps always use opposite lanes.
         let tail_dir = step % 2 == 0;
         let dir = if tail_dir { Direction::Tails } else { Direction::Heads };
-        // This worker's slice of the block: every query against an entity
-        // shard, or a slice of the queries against everything.
+        // This participant's slice of the block: every query against an
+        // entity shard, or a slice of the queries against everything.
         let rows = shard.rows(block.len());
-        let width = shard.width(model.n_entities());
-        let scored = catch_unwind(AssertUnwindSafe(|| {
-            queries.clear();
-            if tail_dir {
-                queries.extend(block[rows.clone()].iter().map(|tr| (tr.h.idx(), tr.r.idx())));
-            } else {
-                queries.extend(block[rows.clone()].iter().map(|tr| (tr.r.idx(), tr.t.idx())));
-            }
-            let out = &mut scores[..rows.len() * width];
-            engine::score_block_shard(&model, dir, &queries, &shard, out, &mut scratch);
-            // Entity mode exchanges target scores through the threshold
-            // slots (each target lives in exactly one shard); query mode
-            // reads them straight off its own full-width rows.
-            if let WorkerShard::Entities(range) = &shard {
-                for (i, tr) in block.iter().enumerate() {
-                    let target = if tail_dir { tr.t.idx() } else { tr.h.idx() };
-                    if range.contains(&target) {
-                        let bits = out[i * width + (target - range.start)].to_bits();
-                        slots.publish_threshold(step % 2, i, bits);
-                    }
-                }
-            }
-        }));
-        if let Err(p) = scored {
-            payload = Some(p);
-            // A scoring panic at step `s` is published *before* this
-            // worker's barrier wait, so every worker's check after the
-            // step-`s` barrier sees it — and no worker can be past that
-            // check yet (the barrier had not released). `fetch_min` keeps
-            // the earliest abort step if several workers panic.
-            poisoned.fetch_min(step, Relaxed);
+        queries.clear();
+        if tail_dir {
+            queries.extend(block[rows.clone()].iter().map(|tr| (tr.h.idx(), tr.r.idx())));
+        } else {
+            queries.extend(block[rows.clone()].iter().map(|tr| (tr.r.idx(), tr.t.idx())));
         }
-        // The step barrier: every shard scored, every target published —
-        // and the previous step's conversion finished (the lead converts
-        // below, before it can reach this rendezvous again), so its lane
-        // is free to be rewritten next step.
-        barrier.wait();
-        // Abort only at the barrier the poison is tagged with: a poison
-        // tagged `step + 1` (set by a racing worker already scoring the
-        // next step, or by a count-phase panic below) must not peel slow
-        // workers off one rendezvous early.
-        if poisoned.load(Relaxed) <= step {
-            aborted = true;
-            break;
-        }
-        let counted = catch_unwind(AssertUnwindSafe(|| {
-            let out = &scores[..rows.len() * width];
+        let out = &mut scores[..rows.len() * width];
+        engine::score_block_shard(&model, dir, &queries, shard, out, &mut scratch);
+        // Entity mode exchanges target scores through the threshold slots
+        // (each target lives in exactly one shard); query mode reads them
+        // straight off its own full-width rows.
+        if let WorkerShard::Entities(range) = shard {
             for (i, tr) in block.iter().enumerate() {
-                if !rows.contains(&i) {
-                    // Unowned rows (query-split mode): identity counts, so
-                    // the lead's merge can sum every worker's slot blindly.
-                    slots.store_counts(step % 2, worker, i, 0, 0);
-                    continue;
+                let target = if tail_dir { tr.t.idx() } else { tr.h.idx() };
+                if range.contains(&target) {
+                    let bits = out[i * width + (target - range.start)].to_bits();
+                    slots.publish_threshold(step % 2, i, bits);
                 }
-                let local = i - rows.start;
-                let (target, known) = if tail_dir {
-                    (tr.t.idx(), filter.tails(tr.h, tr.r))
-                } else {
-                    (tr.h.idx(), filter.heads(tr.r, tr.t))
-                };
-                let row = &out[local * width..(local + 1) * width];
-                let (shard_start, threshold) = match &shard {
-                    WorkerShard::Entities(range) => (range.start, slots.threshold(step % 2, i)),
-                    WorkerShard::Queries { .. } => (0, row[target]),
-                };
-                let (b, t) = shard_filtered_counts(row, shard_start, threshold, target, known);
-                slots.store_counts(step % 2, worker, i, b, t);
             }
-            // Pipeline overlap: while the other workers move on to scoring
-            // step + 1, the lead folds the *previous* step's lane — its
-            // counts landed before the barrier just crossed.
-            if lead && step > 0 {
-                let prev_len = blocks[(step - 1) / 2].len();
-                convert_step(
-                    slots,
-                    step - 1,
-                    prev_len,
-                    &mut tail_ranks,
-                    &mut head_ranks,
-                    &mut metrics,
-                );
+        }
+        seat.wait();
+        for (i, tr) in block.iter().enumerate() {
+            if !rows.contains(&i) {
+                // Unowned rows (query-split mode): identity counts, so the
+                // lead's merge can sum every participant's slot blindly.
+                slots.store_counts(step % 2, worker, i, 0, 0);
+                continue;
             }
-        }));
-        if let Err(p) = counted {
-            payload = Some(p);
-            // A count-phase panic lands *after* this step's barrier, when
-            // other workers may already have passed this step's check — so
-            // the abort is tagged for the next rendezvous, which every
-            // worker (this one included) can still reach.
-            poisoned.fetch_min(step + 1, Relaxed);
+            let local = i - rows.start;
+            let (target, known) = if tail_dir {
+                (tr.t.idx(), filter.tails(tr.h, tr.r))
+            } else {
+                (tr.h.idx(), filter.heads(tr.r, tr.t))
+            };
+            let row = &out[local * width..(local + 1) * width];
+            let (shard_start, threshold) = match shard {
+                WorkerShard::Entities(range) => (range.start, slots.threshold(step % 2, i)),
+                WorkerShard::Queries { .. } => (0, row[target]),
+            };
+            let (b, t) = shard_filtered_counts(row, shard_start, threshold, target, known);
+            slots.store_counts(step % 2, worker, i, b, t);
+        }
+        // Pipeline overlap: while the other participants move on to
+        // scoring step + 1, the lead folds the *previous* step's lane —
+        // its counts landed before the rendezvous just crossed.
+        if let Some(fold) = fold.as_deref_mut() {
+            if step > 0 {
+                fold.convert(slots, step - 1, blocks[(step - 1) / 2].len());
+            }
         }
     }
-    if !aborted {
-        // Drain the pipeline: one final rendezvous so the last step's
-        // counts are all in, then the lead converts the remaining lane.
-        // (`aborted` is crew-consistent: abort steps are tagged to a
-        // barrier every worker reaches, so either the whole crew broke at
-        // the same check or the whole crew arrives here.)
-        barrier.wait();
-        if poisoned.load(Relaxed) == usize::MAX && lead && n_steps > 0 {
-            let last_len = blocks[(n_steps - 1) / 2].len();
-            convert_step(
-                slots,
-                n_steps - 1,
-                last_len,
-                &mut tail_ranks,
-                &mut head_ranks,
-                &mut metrics,
-            );
-        }
-    }
-    if let Some(p) = payload {
-        resume_unwind(p);
-    }
-    metrics
-}
-
-/// The pre-sharding parallel strategy — `n_threads` workers each ranking a
-/// contiguous *triple* chunk in blocks through the batched engine, every
-/// worker re-streaming the whole entity table. Kept as the
-/// microbenchmark's comparison baseline for [`evaluate_parallel`] (and as
-/// the better choice when callers genuinely want per-chunk isolation).
-/// Metrics match the sequential reference to merge-rounding (`merge` adds
-/// chunk partials in chunk order), not necessarily bit for bit.
-pub fn evaluate_parallel_chunked<M: BatchScorer + Sync>(
-    model: &M,
-    triples: &[Triple],
-    filter: &FilterIndex,
-    n_threads: usize,
-) -> RankMetrics {
-    evaluate_parallel_chunked_with(
-        KernelPolicy::default_from_env(),
-        model,
-        triples,
-        filter,
-        n_threads,
-    )
-}
-
-/// [`evaluate_parallel_chunked`] under an explicit [`KernelPolicy`].
-pub fn evaluate_parallel_chunked_with<M: BatchScorer + Sync>(
-    policy: KernelPolicy,
-    model: &M,
-    triples: &[Triple],
-    filter: &FilterIndex,
-    n_threads: usize,
-) -> RankMetrics {
-    assert!(n_threads > 0, "need at least one thread");
-    if triples.is_empty() {
-        return RankMetrics::zero();
-    }
-    let n_threads = n_threads.min(triples.len());
-    let chunk = triples.len().div_ceil(n_threads);
-    let partials = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for part in triples.chunks(chunk) {
-            handles.push(scope.spawn(move || {
-                let mut metrics = RankMetrics::zero();
-                let mut ranker = BlockRanker::with_policy(model.n_entities(), policy);
-                for block in part.chunks(EVAL_BLOCK) {
-                    ranker.rank_block(model, block, filter, |_, rank| metrics.accumulate(rank));
-                }
-                metrics
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-            .fold(RankMetrics::zero(), RankMetrics::merge)
-    });
-    partials.normalised()
 }
 
 #[cfg(test)]
@@ -997,9 +868,6 @@ mod tests {
         for threads in [1, 2, 3, 7] {
             let par = evaluate_parallel(&m, &triples, &filter, threads);
             assert_eq!(par, seq, "threads={threads}");
-            let chunked = evaluate_parallel_chunked(&m, &triples, &filter, threads);
-            assert!((chunked.mrr - seq.mrr).abs() < 1e-12, "chunked threads={threads}");
-            assert_eq!(chunked.n_queries, seq.n_queries);
         }
     }
 

@@ -13,16 +13,18 @@
 
 use kg_core::{FilterIndex, Triple};
 use kg_eval::ranking::{
-    evaluate_parallel_chunked_with, evaluate_parallel_sharded_with, evaluate_parallel_with,
-    evaluate_sequential, shard_bounds,
+    evaluate_parallel_sharded_with, evaluate_parallel_with, evaluate_sequential, shard_bounds,
 };
 use kg_linalg::{KernelPolicy, SeededRng};
 use kg_models::blm::classics;
 use kg_models::nnm::{GenApprox, NnmConfig};
 use kg_models::rules::{RuleConfig, RuleModel};
 use kg_models::tdm::{RotatE, TdmConfig, TransE, TransH};
-use kg_models::{BatchScorer, BlmModel, Embeddings, LinkPredictor};
+use kg_models::{BatchScorer, BatchScratch, BlmModel, Embeddings, LinkPredictor};
 use proptest::prelude::*;
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Mutex;
 
 const N_ENTITIES: usize = 40;
 const N_RELATIONS: usize = 3;
@@ -310,25 +312,130 @@ fn panic_in_second_block_aborts_pipeline_query_mode() {
     evaluate_parallel_with(KernelPolicy::Exact, &m, &ts, &filter, 4);
 }
 
-/// The chunked baseline stays deterministic and metric-equivalent (to
-/// float merge rounding) — it is the microbench's comparison point, so keep
-/// it honest too.
+/// Records how much of every query row the crew scored: for each
+/// `(direction, query)` key, the summed width of the score slices produced
+/// for it. Scores are flat, so metrics are all ties; only the bookkeeping
+/// matters. `native` picks the crew layout: entity shards when `true`,
+/// query-row splits when `false`.
+struct Counting {
+    n: usize,
+    native: bool,
+    scored: Mutex<HashMap<(bool, usize, usize), usize>>,
+}
+
+impl Counting {
+    fn new(n: usize, native: bool) -> Self {
+        Counting { n, native, scored: Mutex::new(HashMap::new()) }
+    }
+
+    fn record(&self, tails: bool, queries: &[(usize, usize)], width: usize, out: &mut [f32]) {
+        assert_eq!(out.len(), queries.len() * width);
+        out.fill(0.5);
+        let mut scored = self.scored.lock().unwrap();
+        for &(a, b) in queries {
+            *scored.entry((tails, a, b)).or_default() += width;
+        }
+    }
+
+    /// Every query of `ts` scored across exactly the full table, once.
+    fn assert_each_row_scored_once(&self, ts: &[Triple], what: &str) {
+        let mut scored = self.scored.lock().unwrap();
+        assert_eq!(scored.len(), 2 * ts.len(), "{what}: a query row was never scored");
+        for tr in ts {
+            for key in [(true, tr.h.idx(), tr.r.idx()), (false, tr.r.idx(), tr.t.idx())] {
+                assert_eq!(scored[&key], self.n, "{what}: query {key:?} scored the wrong width");
+            }
+        }
+        scored.clear();
+    }
+}
+
+impl LinkPredictor for Counting {
+    fn n_entities(&self) -> usize {
+        self.n
+    }
+    fn score_triple(&self, _: usize, _: usize, _: usize) -> f32 {
+        0.5
+    }
+    fn score_tails(&self, _: usize, _: usize, _: &mut [f32]) {
+        unreachable!("the crew scores through the batch and shard entry points")
+    }
+    fn score_heads(&self, _: usize, _: usize, _: &mut [f32]) {
+        unreachable!("the crew scores through the batch and shard entry points")
+    }
+}
+
+impl BatchScorer for Counting {
+    fn native_shard_scoring(&self) -> bool {
+        self.native
+    }
+    fn score_tails_batch(&self, q: &[(usize, usize)], out: &mut [f32], _: &mut BatchScratch) {
+        assert!(!self.native, "entity mode must score through the shard entry points");
+        self.record(true, q, self.n, out);
+    }
+    fn score_heads_batch(&self, q: &[(usize, usize)], out: &mut [f32], _: &mut BatchScratch) {
+        assert!(!self.native, "entity mode must score through the shard entry points");
+        self.record(false, q, self.n, out);
+    }
+    fn score_tails_shard(
+        &self,
+        q: &[(usize, usize)],
+        shard: Range<usize>,
+        out: &mut [f32],
+        _: &mut BatchScratch,
+    ) {
+        assert!(self.native, "query mode must score full rows");
+        self.record(true, q, shard.len(), out);
+    }
+    fn score_heads_shard(
+        &self,
+        q: &[(usize, usize)],
+        shard: Range<usize>,
+        out: &mut [f32],
+        _: &mut BatchScratch,
+    ) {
+        assert!(self.native, "query mode must score full rows");
+        self.record(false, q, shard.len(), out);
+    }
+}
+
+/// 130 triples (two full evaluation blocks and a ragged third) whose tail
+/// queries `(h, r)` and head queries `(r, t)` are all distinct, so each
+/// query row has its own key in [`Counting`].
+fn distinct_query_triples(n: usize) -> Vec<Triple> {
+    (0..130u32).map(|i| Triple::new(i, 0, (i * 7 + 3) % n as u32)).collect()
+}
+
+/// Entity mode scores each block exactly once across the crew: the shard
+/// widths scored for every query row sum to `n_entities` — no participant
+/// re-scores the table, none skips its shard.
 #[test]
-fn chunked_baseline_still_agrees_to_rounding() {
-    let mut rng = SeededRng::new(0xC4);
-    let model =
-        BlmModel::new(classics::analogy(), Embeddings::init(N_ENTITIES, N_RELATIONS, 16, &mut rng));
-    let ts = triples(0xC4);
+fn entity_mode_scores_each_row_once_across_the_crew() {
+    let n = 150;
+    let ts = distinct_query_triples(n);
     let filter = FilterIndex::build(&ts);
-    let reference = evaluate_sequential(&model, &ts, &filter);
-    for n_threads in [2, 3, 5] {
-        let chunked =
-            evaluate_parallel_chunked_with(KernelPolicy::Exact, &model, &ts, &filter, n_threads);
-        assert_eq!(
-            chunked,
-            evaluate_parallel_chunked_with(KernelPolicy::Exact, &model, &ts, &filter, n_threads)
-        );
-        assert!((chunked.mrr - reference.mrr).abs() < 1e-12);
-        assert_eq!(chunked.n_queries, reference.n_queries);
+    let model = Counting::new(n, true);
+    for n_threads in [2, 3, 4, 8] {
+        evaluate_parallel_with(KernelPolicy::Exact, &model, &ts, &filter, n_threads);
+        model.assert_each_row_scored_once(&ts, &format!("{n_threads} threads"));
+    }
+    for bounds in [vec![0, 0, 70, 71, n], vec![0, n], vec![0, 1, 2, n, n]] {
+        evaluate_parallel_sharded_with(KernelPolicy::Exact, &model, &ts, &filter, &bounds);
+        model.assert_each_row_scored_once(&ts, &format!("bounds {bounds:?}"));
+    }
+}
+
+/// Query mode scores each block exactly once across the crew: the rows
+/// each participant owns sum to the block length, so every query row is
+/// scored full-width by exactly one participant.
+#[test]
+fn query_mode_scores_each_row_once_across_the_crew() {
+    let n = 150;
+    let ts = distinct_query_triples(n);
+    let filter = FilterIndex::build(&ts);
+    let model = Counting::new(n, false);
+    for n_threads in [2, 3, 4, 8, 64] {
+        evaluate_parallel_with(KernelPolicy::Exact, &model, &ts, &filter, n_threads);
+        model.assert_each_row_scored_once(&ts, &format!("{n_threads} threads"));
     }
 }

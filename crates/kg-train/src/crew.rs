@@ -13,7 +13,7 @@
 //! workers live for the whole training run (the scope wraps the epoch
 //! loop), keep private entity/relation copies refreshed once per batch,
 //! and communicate only through `AtomicU32` grids — all cells Relaxed,
-//! with the step barriers as the only synchronisation, the same safe-code
+//! with the crew's rendezvous as the only synchronisation, the same safe-code
 //! discipline as the ranking engine's `PipelineSlots`.
 //!
 //! # One step (one 32-triple block, 64 query rows)
@@ -41,7 +41,7 @@
 //!    relation-row accumulation, cross-entropy bookkeeping. Mid-batch this
 //!    overlaps the crew's next forward (the PR 6 pipeline discipline: the
 //!    lead converts step `s` while the crew scores step `s + 1` — disjoint
-//!    grids, one gate barrier per step).
+//!    grids, one gate rendezvous per step).
 //!
 //! At a batch boundary workers additionally flush their private gradient
 //! blocks to the shared grid; the lead assembles the dense gradient, adds
@@ -64,31 +64,25 @@
 //!   of `(seed, shard grid, kernel backend)`. Thread count, scheduling and
 //!   oversubscription cannot show in a single byte of the result.
 //!
-//! # Poison
+//! # Crew and poison
 //!
-//! Every participant crosses the same barrier sequence in lockstep (gate,
-//! forward, rows, flush on batch ends), so a running count of barriers
-//! attended names each rendezvous unambiguously. A panic anywhere in the
-//! crew tags a shared poison slot with the panicker's count
-//! (`fetch_min(bar)` — the index of the barrier it attends as its last),
-//! attends that barrier, and re-raises. Every other participant checks
-//! the tag after every barrier and exits exactly at the tagged one: the
-//! barrier's own synchronisation makes the tag visible to everyone who
-//! crosses it, and a tag set mid-phase is still *ahead* of the counts of
-//! participants at earlier barriers, so nobody bails out early and
-//! strands the panicker (step-scoped tags would race exactly that way).
-//! No deadlock, no abandoned crew; the lead joins the workers and then
-//! propagates the original payload.
+//! The crew is a [`kg_eval::crew::Crew`], the same primitive the parallel
+//! ranker runs on, sized to the work it can use (`crew_size`). Every
+//! participant crosses the same rendezvous sequence on its one barrier —
+//! gate, forward, rows, and flush on batch ends — so a panic anywhere
+//! (a phase, the lead's batch tail, the epoch callback) takes the whole
+//! crew out at the same rendezvous and re-raises the original payload on
+//! the caller: the crew's barrier-index poison protocol, with no
+//! hand-written abort branches here.
 
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering::Relaxed};
-use std::sync::Barrier;
 
 use crate::config::TrainConfig;
 use crate::loss::MULTICLASS_BLOCK;
 use crate::trainer::{ControlFlow, EpochCallback, EpochInfo};
 use kg_core::Dataset;
+use kg_eval::crew::{Crew, Seat};
 use kg_eval::engine::{entity_shard_grid, WorkerShard};
 use kg_linalg::{gemm, vecops, Adagrad, KernelPolicy, Mat, Optimizer, SeededRng};
 use kg_models::{BlmModel, BlockSpec, Embeddings};
@@ -133,7 +127,7 @@ impl StepMeta {
 }
 
 /// The crew's shared state: parameter image, score/coefficient grid,
-/// per-shard gradient partial slots, step metadata and the barriers.
+/// per-shard gradient partial slots and step metadata.
 struct SharedCrew {
     /// Published model parameters, entity table then relation table.
     params: Vec<AtomicU32>,
@@ -147,17 +141,6 @@ struct SharedCrew {
     /// Rank-1 entity-gradient totals, flushed once per batch.
     d_ent: Vec<AtomicU32>,
     meta: StepMeta,
-    /// Step gate: meta is valid, previous step fully converted.
-    gate: Barrier,
-    /// Forward complete: the coefficient grid holds the full score block.
-    forward: Barrier,
-    /// Rows complete: softmaxed coefficients and cross-entropies published.
-    rows: Barrier,
-    /// Batch flush complete: gradient blocks are in the shared grid.
-    flush: Barrier,
-    /// Step-tagged poison: `usize::MAX` while healthy, `fetch_min(step)`
-    /// on panic. Checked after every barrier.
-    poisoned: AtomicUsize,
     /// The fixed entity-shard grid (round-robin dealt to workers).
     shards: Vec<Range<usize>>,
     n_workers: usize,
@@ -183,37 +166,12 @@ impl SharedCrew {
             ce: cells(ROWS),
             d_ent: cells(n_ent * dim),
             meta: StepMeta::new(),
-            gate: Barrier::new(n_workers),
-            forward: Barrier::new(n_workers),
-            rows: Barrier::new(n_workers),
-            flush: Barrier::new(n_workers),
-            poisoned: AtomicUsize::new(usize::MAX),
             shards,
             n_workers,
             n_ent,
             n_rel,
             dim,
         }
-    }
-
-    /// Tag the crew as poisoned at rendezvous index `bar` — the number of
-    /// barriers the panicking participant has already attended, i.e. the
-    /// index of the one it is about to attend as its last. Every
-    /// participant crosses the same barrier sequence in lockstep, so the
-    /// index names one specific rendezvous for the whole crew.
-    fn poison(&self, bar: usize) {
-        self.poisoned.fetch_min(bar, Relaxed);
-    }
-
-    /// Whether the crew is poisoned at a rendezvous this participant has
-    /// already crossed (`attended` = its barrier count so far). Only
-    /// meaningful directly after a barrier: the panicker's tag is written
-    /// before it attends the poison barrier, so the barrier's own
-    /// synchronisation guarantees every participant sees the tag when
-    /// crossing that barrier — and never acts on it at an earlier one,
-    /// because the tagged index is still ahead of its own count.
-    fn aborted(&self, attended: usize) -> bool {
-        self.poisoned.load(Relaxed) < attended
     }
 
     /// Shard indices worker `w` owns: `w, w + crew, w + 2·crew, …`.
@@ -446,27 +404,31 @@ fn phase_backward(
     }
 }
 
-/// A spawned (non-lead) crew member: loop over steps until told to stop,
-/// poisoned, or panicking. Panics re-raise after attending the barrier the
-/// phase would have reached, so the crew unwinds without deadlock and the
-/// payload surfaces through the lead's join.
+/// Test hook of [`crate::Trainer::inject_panic_at`]: participant `w`
+/// panics at the start of step `step`'s row phase.
+fn maybe_trip(panic_inject: Option<(usize, usize)>, step: usize, w: usize) {
+    if let Some((ps, pw)) = panic_inject {
+        assert!(ps != step || pw != w, "train crew grenade tripped (step {step}, worker {w})");
+    }
+}
+
+/// A spawned (non-lead) crew member: loop over steps until the lead's
+/// gate says done. Its rendezvous mirror the lead's exactly: gate,
+/// forward, rows, and flush on a batch boundary.
 fn worker_loop(
     sh: &SharedCrew,
     spec: &BlockSpec,
     policy: KernelPolicy,
-    w: usize,
+    seat: &mut Seat<'_>,
     panic_inject: Option<(usize, usize)>,
 ) {
+    let w = seat.index();
     let mut ent = Mat::zeros(sh.n_ent, sh.dim);
     let mut rel = Mat::zeros(sh.n_rel, sh.dim);
     let mut scratch = WorkerScratch::new(sh, w);
     let mut block: Vec<(usize, usize, usize)> = Vec::with_capacity(MULTICLASS_BLOCK);
-    let mut step = 0usize;
-    let mut bar = 0usize;
-    loop {
-        if wait_bar(sh, &sh.gate, &mut bar) {
-            return;
-        }
+    for step in 0.. {
+        seat.wait(); // gate
         let flags = sh.read_meta(&mut block);
         if flags & FLAG_DONE != 0 {
             return;
@@ -474,78 +436,32 @@ fn worker_loop(
         if flags & FLAG_REFRESH != 0 {
             sh.load_params(&mut ent, &mut rel);
         }
-        let m = 2 * block.len();
+        phase_forward(sh, policy, spec, &block, &ent, &rel, &mut scratch, w);
+        seat.wait(); // forward
+        maybe_trip(panic_inject, step, w);
+        phase_rows(sh, &block, &mut scratch, w);
+        seat.wait(); // rows
         let flushing = flags & FLAG_FLUSH != 0;
-
-        let fwd = catch_unwind(AssertUnwindSafe(|| {
-            phase_forward(sh, policy, spec, &block, &ent, &rel, &mut scratch, w)
-        }));
-        if sync_or_unwind(sh, &sh.forward, &mut bar, fwd) {
-            return;
-        }
-
-        let rows = catch_unwind(AssertUnwindSafe(|| {
-            if let Some((ps, pw)) = panic_inject {
-                assert!(
-                    ps != step || pw != w,
-                    "train crew grenade tripped (step {step}, worker {w})"
-                );
-            }
-            phase_rows(sh, &block, &mut scratch, w)
-        }));
-        if sync_or_unwind(sh, &sh.rows, &mut bar, rows) {
-            return;
-        }
-
-        let bwd = catch_unwind(AssertUnwindSafe(|| {
-            phase_backward(sh, policy, m, &ent, &mut scratch, w, flushing)
-        }));
-        // The backward phase's rendezvous is the flush barrier on a batch
-        // boundary and the next gate otherwise (the loop head).
+        phase_backward(sh, policy, 2 * block.len(), &ent, &mut scratch, w, flushing);
         if flushing {
-            if sync_or_unwind(sh, &sh.flush, &mut bar, bwd) {
-                return;
-            }
-        } else if let Err(payload) = bwd {
-            sh.poison(bar);
-            sh.gate.wait();
-            resume_unwind(payload);
+            seat.wait(); // flush
         }
-        step += 1;
     }
 }
 
-/// Attend the participant's next barrier; returns whether the crew is
-/// poisoned at a rendezvous it has now crossed (caller must exit).
-fn wait_bar(sh: &SharedCrew, barrier: &Barrier, bar: &mut usize) -> bool {
-    barrier.wait();
-    *bar += 1;
-    sh.aborted(*bar)
-}
-
-/// Fold a phase result into the poison protocol: attend `barrier` whatever
-/// happened — tagging the poison with this rendezvous's index first on a
-/// panic, then re-raising — so every participant leaves the same barrier.
-/// Returns whether the caller must exit.
-fn sync_or_unwind(
-    sh: &SharedCrew,
-    barrier: &Barrier,
-    bar: &mut usize,
-    result: std::thread::Result<()>,
-) -> bool {
-    match result {
-        Ok(()) => wait_bar(sh, barrier, bar),
-        Err(payload) => {
-            sh.poison(*bar);
-            barrier.wait();
-            resume_unwind(payload);
-        }
-    }
+/// How many participants a crew can use. Shards and query rows are the
+/// units of work, so a crew of `max(n_shards, ROWS)` already gives every
+/// shard of the grid and every row of a full step a participant of its
+/// own; a larger crew would shorten no phase and only add participants to
+/// every rendezvous. The result never depends on the crew size, so the
+/// clamp cannot change a byte of the output.
+fn crew_size(threads: usize, n_shards: usize) -> usize {
+    threads.min(n_shards.max(ROWS))
 }
 
 /// Train `spec` with the cooperative crew. The lead (calling thread) runs
-/// the epoch/batch loop and works shards alongside `threads − 1` spawned
-/// workers kept alive across all epochs.
+/// the epoch/batch loop and works shards alongside up to `threads − 1`
+/// spawned workers ([`crew_size`]) kept alive across all epochs.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn train_crew<F>(
     spec: &BlockSpec,
@@ -573,7 +489,8 @@ where
     let dim = cfg.dim;
     let dsub = dim / 4;
     let n_shards = shards.min(n_ent).max(1);
-    let sh = SharedCrew::new(n_ent, n_rel, dim, n_shards, threads);
+    let n_workers = crew_size(threads, n_shards);
+    let sh = SharedCrew::new(n_ent, n_rel, dim, n_shards, n_workers);
     let spec = spec.clone();
 
     let mut opt = Adagrad::new(n_ent * dim + n_rel * dim, cfg.lr, cfg.decay);
@@ -588,58 +505,17 @@ where
     let mut order: Vec<usize> = (0..ds.train.len()).collect();
     let start = std::time::Instant::now();
 
-    if threads > 1 {
+    if n_workers > 1 {
         sh.publish_params(&model);
     }
 
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads - 1);
-        for w in 1..threads {
-            let (sh, spec) = (&sh, &spec);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("kg-train-crew-{w}"))
-                    .spawn_scoped(scope, move || worker_loop(sh, spec, policy, w, panic_inject))
-                    .expect("spawn crew worker"),
-            );
-        }
-
-        // The lead's driving loop, with panics funnelled into the poison
-        // protocol so the crew always unwinds before the payload re-raises.
-        let mut lead_payload: Option<Box<dyn std::any::Any + Send>> = None;
-        let mut aborted = false;
+    // The lead's driving loop. Its rendezvous mirror `worker_loop`'s.
+    let lead = |seat: &mut Seat<'_>| {
         let mut step = 0usize;
-        let mut bar = 0usize;
         // Converted lazily: `Some(block)` holds a mid-batch step whose
         // reduce overlaps the crew's next forward.
         let mut pending: Option<Vec<(usize, usize, usize)>> = None;
-
-        // Runs `f`, then attends `barrier` under the poison protocol; on a
-        // panic, tags the poison with this rendezvous's index and stashes
-        // the payload (the lead must join the crew before re-raising).
-        // `None` or `aborted` afterwards means: stop driving.
-        macro_rules! guarded {
-            ($barrier:expr, $f:expr) => {{
-                match catch_unwind(AssertUnwindSafe(|| $f)) {
-                    Ok(v) => {
-                        if wait_bar(&sh, $barrier, &mut bar) {
-                            aborted = true;
-                        }
-                        Some(v)
-                    }
-                    Err(p) => {
-                        sh.poison(bar);
-                        $barrier.wait();
-                        bar += 1;
-                        lead_payload = Some(p);
-                        aborted = true;
-                        None
-                    }
-                }
-            }};
-        }
-
-        'epochs: for epoch in 0..cfg.epochs {
+        for epoch in 0..cfg.epochs {
             rng.shuffle(&mut order);
             let mut epoch_loss = 0.0f64;
             let mut n_terms = 0usize;
@@ -653,109 +529,49 @@ where
                         let tr = ds.train[i];
                         (tr.h.idx(), tr.r.idx(), tr.t.idx())
                     }));
-                    let m = 2 * block.len();
                     let mut flags = if bi == 0 { FLAG_REFRESH } else { 0 };
                     if is_last {
                         flags |= FLAG_FLUSH;
                     }
                     sh.write_meta(&block, flags);
-                    if wait_bar(&sh, &sh.gate, &mut bar) {
-                        aborted = true;
-                        break 'epochs;
-                    }
+                    seat.wait(); // gate
 
                     // Reduce the previous mid-batch step, then score this
-                    // step's shards, both before the forward barrier: the
-                    // lead's reduce of step `s − 1` overlaps the crew's
+                    // step's shards, both before the forward rendezvous:
+                    // the lead's reduce of step `s − 1` overlaps the crew's
                     // forward of step `s` — the pipeline overlap. Safe:
                     // reduce reads `dq_parts`/`ce` (which the crew next
-                    // writes only after this step's rows barrier) and
+                    // writes only after this step's rows rendezvous) and
                     // writes lead-private accumulators.
-                    let prev = pending.take();
-                    let fwd = guarded!(&sh.forward, {
-                        let prev_ce = prev.as_deref().map(|p| {
-                            lead_reduce(
-                                &sh,
-                                &spec,
-                                &model,
-                                p,
-                                dsub,
-                                &mut dq_full,
-                                &mut hook_cond,
-                                &mut hook_rel,
-                                &mut d_ent_cond,
-                                &mut d_rel,
-                            )
-                        });
-                        phase_forward(
+                    if let Some(prev) = pending.take() {
+                        let ce = lead_reduce(
                             &sh,
-                            policy,
                             &spec,
-                            &block,
-                            &model.emb.ent,
-                            &model.emb.rel,
-                            &mut lead_scratch,
-                            0,
+                            &model,
+                            &prev,
+                            dsub,
+                            &mut dq_full,
+                            &mut hook_cond,
+                            &mut hook_rel,
+                            &mut d_ent_cond,
+                            &mut d_rel,
                         );
-                        prev_ce
-                    });
-                    match fwd {
-                        Some(prev_ce) => {
-                            if let (Some(ce), Some(p)) = (prev_ce, prev.as_ref()) {
-                                epoch_loss += ce as f64;
-                                n_terms += 2 * p.len();
-                            }
-                        }
-                        None => break 'epochs,
+                        epoch_loss += ce as f64;
+                        n_terms += 2 * prev.len();
                     }
-                    if aborted {
-                        break 'epochs;
-                    }
+                    let (ent, rel) = (&model.emb.ent, &model.emb.rel);
+                    phase_forward(&sh, policy, &spec, &block, ent, rel, &mut lead_scratch, 0);
+                    seat.wait(); // forward
 
-                    let rows_ok = guarded!(&sh.rows, {
-                        if let Some((ps, pw)) = panic_inject {
-                            assert!(
-                                ps != step || pw != 0,
-                                "train crew grenade tripped (step {step}, worker 0)"
-                            );
-                        }
-                        phase_rows(&sh, &block, &mut lead_scratch, 0)
-                    });
-                    if rows_ok.is_none() || aborted {
-                        break 'epochs;
-                    }
+                    maybe_trip(panic_inject, step, 0);
+                    phase_rows(&sh, &block, &mut lead_scratch, 0);
+                    seat.wait(); // rows
 
-                    let bwd = catch_unwind(AssertUnwindSafe(|| {
-                        phase_backward(
-                            &sh,
-                            policy,
-                            m,
-                            &model.emb.ent,
-                            &mut lead_scratch,
-                            0,
-                            is_last,
-                        )
-                    }));
-                    if let Err(p) = bwd {
-                        // The backward phase's rendezvous: flush barrier on
-                        // a batch boundary, the next gate otherwise.
-                        sh.poison(bar);
-                        if is_last {
-                            sh.flush.wait();
-                        } else {
-                            sh.gate.wait();
-                        }
-                        lead_payload = Some(p);
-                        aborted = true;
-                        break 'epochs;
-                    }
-
+                    let m = 2 * block.len();
+                    phase_backward(&sh, policy, m, &model.emb.ent, &mut lead_scratch, 0, is_last);
                     if is_last {
-                        let flush_ok = guarded!(&sh.flush, ());
-                        if flush_ok.is_none() || aborted {
-                            break 'epochs;
-                        }
-                        let end = guarded_batch_end(
+                        seat.wait(); // flush
+                        let ce = batch_end(
                             &sh,
                             &spec,
                             &mut model,
@@ -771,20 +587,9 @@ where
                             &mut d_ent_cond,
                             &mut d_rel,
                             &mut opt,
-                            &mut bar,
-                            threads,
                         );
-                        match end {
-                            Ok(ce) => {
-                                epoch_loss += ce as f64;
-                                n_terms += 2 * block.len();
-                            }
-                            Err(p) => {
-                                lead_payload = Some(p);
-                                aborted = true;
-                                break 'epochs;
-                            }
-                        }
+                        epoch_loss += ce as f64;
+                        n_terms += 2 * block.len();
                     } else {
                         pending = Some(block.clone());
                     }
@@ -797,35 +602,14 @@ where
                 loss: (epoch_loss / n_terms.max(1) as f64) as f32,
                 seconds: start.elapsed().as_secs_f64(),
             };
-            let verdict = catch_unwind(AssertUnwindSafe(|| on_epoch.on_epoch(&model, info)));
-            match verdict {
-                Ok(ControlFlow::Continue) => {}
-                Ok(ControlFlow::Stop) => break 'epochs,
-                Err(p) => {
-                    // The crew waits at the gate; wake it into the poison.
-                    sh.poison(bar);
-                    sh.gate.wait();
-                    lead_payload = Some(p);
-                    aborted = true;
-                    break 'epochs;
-                }
+            if on_epoch.on_epoch(&model, info) == ControlFlow::Stop {
+                break;
             }
         }
-
-        if !aborted {
-            sh.write_meta(&[], FLAG_DONE);
-            sh.gate.wait();
-        }
-        let mut crew_payload = None;
-        for handle in handles {
-            if let Err(p) = handle.join() {
-                crew_payload.get_or_insert(p);
-            }
-        }
-        if let Some(p) = crew_payload.or(lead_payload) {
-            resume_unwind(p);
-        }
-    });
+        sh.write_meta(&[], FLAG_DONE);
+        seat.wait(); // gate: done
+    };
+    Crew::run(n_workers, lead, |seat| worker_loop(&sh, &spec, policy, seat, panic_inject));
     model
 }
 
@@ -893,11 +677,11 @@ fn lead_reduce(
 
 /// The batch-boundary tail: reduce the flush step, assemble the dense
 /// entity gradient (rank-1 totals from the grid + conditioning totals),
-/// apply N3/L2, take the Adagrad step and republish parameters. Runs under
-/// the poison protocol: a panic wakes the crew (waiting at the gate) into
-/// the abort.
+/// apply N3/L2, take the Adagrad step and republish parameters — all
+/// while the crew waits at the next gate. Returns the flush step's summed
+/// cross-entropy.
 #[allow(clippy::too_many_arguments)]
-fn guarded_batch_end(
+fn batch_end(
     sh: &SharedCrew,
     spec: &BlockSpec,
     model: &mut BlmModel,
@@ -913,53 +697,70 @@ fn guarded_batch_end(
     d_ent_cond: &mut Mat,
     d_rel: &mut Mat,
     opt: &mut Adagrad,
-    bar: &mut usize,
-    threads: usize,
-) -> Result<f32, Box<dyn std::any::Any + Send>> {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let ce = lead_reduce(
-            sh, spec, model, block, dsub, dq_full, hook_cond, hook_rel, d_ent_cond, d_rel,
-        );
-        // Dense gradient: rank-1 totals (grid) + conditioning totals — one
-        // elementwise add, the same two-subtotal sum for every crew size.
-        for (v, cell) in d_ent.as_mut_slice().iter_mut().zip(&sh.d_ent) {
-            *v = f32::from_bits(cell.load(Relaxed));
+) -> f32 {
+    let ce =
+        lead_reduce(sh, spec, model, block, dsub, dq_full, hook_cond, hook_rel, d_ent_cond, d_rel);
+    // Dense gradient: rank-1 totals (grid) + conditioning totals — one
+    // elementwise add, the same two-subtotal sum for every crew size.
+    for (v, cell) in d_ent.as_mut_slice().iter_mut().zip(&sh.d_ent) {
+        *v = f32::from_bits(cell.load(Relaxed));
+    }
+    vecops::axpy(1.0, d_ent_cond.as_slice(), d_ent.as_mut_slice());
+    d_ent_cond.clear();
+    if cfg.n3 > 0.0 {
+        for &i in batch {
+            let tr = ds.train[i];
+            for row in [tr.h.idx(), tr.t.idx()] {
+                crate::trainer::n3_grad(cfg.n3, model.emb.ent.row(row), d_ent.row_mut(row));
+            }
+            crate::trainer::n3_grad(
+                cfg.n3,
+                model.emb.rel.row(tr.r.idx()),
+                d_rel.row_mut(tr.r.idx()),
+            );
         }
-        vecops::axpy(1.0, d_ent_cond.as_slice(), d_ent.as_mut_slice());
-        d_ent_cond.clear();
-        if cfg.n3 > 0.0 {
-            for &i in batch {
-                let tr = ds.train[i];
-                for row in [tr.h.idx(), tr.t.idx()] {
-                    crate::trainer::n3_grad(cfg.n3, model.emb.ent.row(row), d_ent.row_mut(row));
+    }
+    let inv = 1.0 / batch.len() as f32;
+    vecops::scale(inv, d_ent.as_mut_slice());
+    vecops::scale(inv, d_rel.as_mut_slice());
+    if cfg.l2 > 0.0 {
+        vecops::axpy(cfg.l2, model.emb.ent.as_slice(), d_ent.as_mut_slice());
+        vecops::axpy(cfg.l2, model.emb.rel.as_slice(), d_rel.as_mut_slice());
+    }
+    opt.update(0, model.emb.ent.as_mut_slice(), d_ent.as_slice());
+    opt.update(sh.n_ent * sh.dim, model.emb.rel.as_mut_slice(), d_rel.as_slice());
+    if sh.n_workers > 1 {
+        sh.publish_params(model);
+    }
+    ce
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn crew_size_clamps_to_the_work_a_crew_can_use() {
+        assert_eq!(crew_size(128, DEFAULT_TRAIN_SHARDS), ROWS);
+        assert_eq!(crew_size(4, DEFAULT_TRAIN_SHARDS), 4);
+        assert_eq!(crew_size(1, 1), 1);
+        assert_eq!(crew_size(500, 200), 200);
+        for threads in 1..=300 {
+            for n_shards in [1, 2, 16, 63, 64, 65, 100, 256] {
+                let size = crew_size(threads, n_shards);
+                assert!(size >= 1 && size <= threads);
+                let rows = |w| WorkerShard::Queries { worker: w, n_workers: size }.rows(ROWS);
+                // Every participant owns a shard or a row of a full step…
+                for w in 0..size {
+                    assert!(w < n_shards || !rows(w).is_empty(), "{w} of {size} idles");
                 }
-                crate::trainer::n3_grad(
-                    cfg.n3,
-                    model.emb.rel.row(tr.r.idx()),
-                    d_rel.row_mut(tr.r.idx()),
-                );
+                // …and a clamped crew already gives every shard and every
+                // row a participant of its own.
+                if size < threads {
+                    assert!(n_shards <= size);
+                    assert_eq!((0..size).map(|w| rows(w).len()).max(), Some(1));
+                }
             }
         }
-        let inv = 1.0 / batch.len() as f32;
-        vecops::scale(inv, d_ent.as_mut_slice());
-        vecops::scale(inv, d_rel.as_mut_slice());
-        if cfg.l2 > 0.0 {
-            vecops::axpy(cfg.l2, model.emb.ent.as_slice(), d_ent.as_mut_slice());
-            vecops::axpy(cfg.l2, model.emb.rel.as_slice(), d_rel.as_mut_slice());
-        }
-        opt.update(0, model.emb.ent.as_mut_slice(), d_ent.as_slice());
-        opt.update(sh.n_ent * sh.dim, model.emb.rel.as_mut_slice(), d_rel.as_slice());
-        if threads > 1 {
-            sh.publish_params(model);
-        }
-        ce
-    }));
-    if result.is_err() {
-        // The crew is heading for (or waiting at) the next gate — its next
-        // rendezvous and therefore this participant's poison index.
-        sh.poison(*bar);
-        sh.gate.wait();
-        *bar += 1;
     }
-    result
 }

@@ -295,7 +295,8 @@ impl Trainer {
     }
 
     /// Test hook: make crew participant `worker` panic at the start of
-    /// step `step`'s row phase. Exercises the step-tagged poison protocol.
+    /// step `step`'s row phase. Exercises the crew's barrier-index poison
+    /// protocol ([`kg_eval::crew`]).
     #[doc(hidden)]
     pub fn inject_panic_at(mut self, step: usize, worker: usize) -> Self {
         self.panic_inject = Some((step, worker));

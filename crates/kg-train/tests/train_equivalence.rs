@@ -10,9 +10,10 @@
 //!   trainer only by that reassociation, so trained embeddings agree
 //!   within FP noise; and with the trivial one-shard grid the merged
 //!   query-side gradient is the full-table kernel's result bit for bit.
-//! * **Poison, not deadlock** — a worker panic mid-epoch tags the step,
-//!   unwinds the whole crew through its barriers and re-raises on the
-//!   caller; no hang, whichever participant trips.
+//! * **Poison, not deadlock** — a participant panic mid-epoch tags the
+//!   rendezvous it would attend next (the barrier-index protocol of
+//!   `kg_eval::crew`), takes the whole crew out at that rendezvous and
+//!   re-raises on the caller; no hang, whichever participant trips.
 
 use kg_core::{Dataset, Triple};
 use kg_linalg::KernelPolicy;
@@ -95,6 +96,19 @@ fn crew_is_thread_count_independent_across_families_and_grids() {
             }
         }
     }
+}
+
+/// A request for more threads than the crew can use is clamped to 64
+/// participants (one per query row of a full step; the default grid has
+/// fewer shards) and still trains the same bytes.
+#[test]
+fn oversized_crew_is_clamped_without_changing_bytes() {
+    let ds = toy_dataset();
+    let cfg = TrainConfig { epochs: 2, ..quick_cfg() };
+    let spec = classics::complex();
+    let solo = Trainer::new(cfg).threads(1).train(&spec, &ds);
+    let oversized = Trainer::new(cfg).threads(65).train(&spec, &ds);
+    assert_models_identical(&solo, &oversized, "clamped crew diverged from crew(1)");
 }
 
 /// The crew and the sequential trainer share seed, init, shuffle and step
@@ -191,7 +205,7 @@ fn neg_sampling_falls_back_to_sequential() {
 }
 
 /// A worker panicking mid-epoch (step 4 of ~12, a spawned worker, not the
-/// lead) poisons the step, unwinds the whole crew through its barriers
+/// lead) poisons its next rendezvous, unwinds the whole crew through it
 /// and re-raises on the calling thread — the test would hang instead of
 /// pass if any participant were left at a barrier.
 #[test]
@@ -228,4 +242,27 @@ fn callback_panic_unwinds_without_deadlock() {
             ControlFlow::Continue
         },
     );
+}
+
+/// Early stopping through the crew: the lead leaves the epoch loop on
+/// `Stop`, releases the crew through its gate, and returns the model.
+#[test]
+fn callback_stop_releases_the_crew() {
+    let ds = toy_dataset();
+    let cfg = quick_cfg();
+    let spec = classics::complex();
+    let mut seen = 0usize;
+    Trainer::new(cfg).threads(3).train_with_callback(
+        &spec,
+        &ds,
+        |_m: &BlmModel, info: kg_train::EpochInfo| {
+            seen += 1;
+            if info.epoch >= 1 {
+                ControlFlow::Stop
+            } else {
+                ControlFlow::Continue
+            }
+        },
+    );
+    assert_eq!(seen, 2, "training should stop after epoch index 1");
 }
